@@ -10,7 +10,7 @@ BENCHGUARD = sh scripts/benchguard.sh
 BENCH_BASELINE ?= BENCH_10.json
 BENCH_PR ?= 10
 
-.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard patch-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-record bench-compare check
+.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch bench-emu obs-guard delta-guard patch-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-record bench-compare check
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,12 @@ bench-delta:
 bench-patch:
 	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkPatchParallel -benchtime 3x .
 
+# bench-emu measures the emulator on its own: one generated program per
+# ISA loaded and run per iteration, reporting ns/instr, Minstr/s and
+# allocs/op.
+bench-emu:
+	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkEmuRun -benchmem ./internal/emu/
+
 # obs-guard verifies the tracing instrumentation stays within its 2%
 # overhead budget on the warm patch path (see obs_overhead_test.go).
 obs-guard:
@@ -83,9 +89,14 @@ patch-guard:
 
 # alloc-guard asserts the hot paths stay inside the allocation budgets
 # recorded in the committed trajectory snapshot (TestAllocBudget; skips
-# itself when no BENCH_*.json exists yet).
+# itself when no BENCH_*.json exists yet), and that the emulator's
+# steady-state Run allocates nothing and Load does not materialise the
+# stack (one benchguard-wrapped run per test, so renaming either fails
+# loudly).
 alloc-guard:
 	$(GO) test -run TestAllocBudget -v .
+	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -run 'TestRunAllocationFree' -v ./internal/emu/
+	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -run 'TestLoadAllocationBounded' -v ./internal/emu/
 
 # cluster-guard spins up the in-process 3-node cluster under -race and
 # asserts byte-identical output from every node and the gateway across

@@ -9,7 +9,9 @@
 package emu
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"icfgpatch/internal/arch"
@@ -104,6 +106,10 @@ const DefaultPIEBase = 0x55_5000_0000
 const stackTop = 0x7FFE_0000_0000
 const stackSize = 1 << 20
 
+// dcacheSize is the number of entries in a machine's decoded-instruction
+// cache, which is direct-mapped on the PC (a power of two).
+const dcacheSize = 1 << 12
+
 // Result summarises a completed run.
 type Result struct {
 	Exit    uint64
@@ -150,6 +156,26 @@ type Machine struct {
 	seqNext  uint64   // expected PC if the previous instruction fell through
 	trace    []uint64 // ring buffer of executed PCs
 	traceIdx int
+
+	// dcache holds decoded instructions, indexed by PC >> dshift (the
+	// minimum instruction length's log2). fetchBuf receives the bytes
+	// a miss decodes from.
+	dcache   [dcacheSize]decoded
+	dshift   uint
+	fetchBuf []byte
+}
+
+// decoded is one decoded-instruction cache entry. Only instructions
+// that decoded to something other than Illegal are cached, and only
+// from executable ranges, which are fixed once Load returns; an entry
+// is valid while its gen matches the memory's generation, which moves
+// on every write into executable bytes.
+type decoded struct {
+	pc       uint64
+	gen      uint64
+	cost     uint64 // Costs.instrCost(ins)
+	profiled bool   // pc is one of Options.ProfileAddrs
+	ins      arch.Instr
 }
 
 // Load maps the binary into a fresh machine.
@@ -164,6 +190,8 @@ func Load(b *bin.Binary, opts Options) (*Machine, error) {
 		costs: DefaultCosts(),
 		max:   50_000_000,
 	}
+	m.dshift = uint(bits.TrailingZeros(uint(m.enc.MinLen())))
+	m.fetchBuf = make([]byte, m.enc.MaxLen())
 	if opts.Costs != nil {
 		m.costs = *opts.Costs
 	}
@@ -213,8 +241,8 @@ func Load(b *bin.Binary, opts Options) (*Machine, error) {
 			}
 		}
 	}
-	// Stack.
-	m.mem.Map(stackTop-stackSize, make([]byte, stackSize), false)
+	// Stack: its pages are zero until first touched.
+	m.mem.addRange(stackTop-stackSize, stackTop, false)
 	m.regs[arch.SP] = stackTop - 64
 	m.regs[arch.R1] = opts.Arg
 	if b.Arch == arch.PPC {
@@ -323,27 +351,60 @@ func (m *Machine) Trace() []uint64 {
 	return out
 }
 
-func (m *Machine) step() error {
-	window := m.mem.FetchWindow(m.pc, m.enc.MaxLen())
-	if window == nil {
-		return &Fault{Kind: FaultFetch, PC: m.pc}
+// Sentinel decode failures; step and checkCET turn them into faults.
+var (
+	errNotExec = errors.New("not executable")
+	errIllegal = errors.New("illegal instruction")
+)
+
+// decode returns the decoded-cache entry for the instruction at pc,
+// fetching and decoding it on a miss. It fails with errNotExec when pc
+// is not executable, errIllegal for an Illegal instruction, or the
+// decoder's error; failures are never cached. The entry is only valid
+// until the next decode.
+func (m *Machine) decode(pc uint64) (*decoded, error) {
+	e := &m.dcache[(pc>>m.dshift)%dcacheSize]
+	if e.pc == pc && e.gen == m.mem.gen {
+		return e, nil
 	}
-	ins, err := m.enc.Decode(window, m.pc)
+	n, ok := m.mem.fetch(pc, m.fetchBuf)
+	if !ok {
+		return nil, errNotExec
+	}
+	ins, err := m.enc.Decode(m.fetchBuf[:n], pc)
 	if err != nil {
-		return &Fault{Kind: FaultFetch, PC: m.pc, Msg: err.Error()}
+		return nil, err
 	}
 	if ins.Kind == arch.Illegal {
-		return &Fault{Kind: FaultIllegal, PC: m.pc}
+		return nil, errIllegal
 	}
+	*e = decoded{pc: pc, gen: m.mem.gen, cost: m.costs.instrCost(ins), ins: ins}
+	if m.profile != nil {
+		_, e.profiled = m.profile[pc-m.loadBase]
+	}
+	return e, nil
+}
+
+func (m *Machine) step() error {
+	e, err := m.decode(m.pc)
+	switch err {
+	case nil:
+	case errNotExec:
+		return &Fault{Kind: FaultFetch, PC: m.pc}
+	case errIllegal:
+		return &Fault{Kind: FaultIllegal, PC: m.pc}
+	default:
+		return &Fault{Kind: FaultFetch, PC: m.pc, Msg: err.Error()}
+	}
+	// A copy: checkCET's decode may refill this entry's slot.
+	ins := e.ins
 	m.instrs++
 	if m.trace != nil {
 		m.trace[m.traceIdx] = m.pc
 		m.traceIdx = (m.traceIdx + 1) % len(m.trace)
 	}
-	if m.profile != nil {
-		if _, ok := m.profile[m.pc-m.loadBase]; ok {
-			m.profile[m.pc-m.loadBase]++
-		}
+	if e.profiled {
+		m.profile[m.pc-m.loadBase]++
 	}
 	if m.heat != nil {
 		if m.pc != m.seqNext {
@@ -351,7 +412,7 @@ func (m *Machine) step() error {
 		}
 		m.seqNext = m.pc + uint64(ins.EncLen)
 	}
-	m.cycles += m.costs.instrCost(ins)
+	m.cycles += e.cost
 	if m.icache != nil && !m.icache.Access(m.pc) {
 		m.cycles += m.costs.ICacheMiss
 	}
@@ -503,12 +564,11 @@ func (m *Machine) checkCET(target uint64) error {
 	if !m.cet {
 		return nil
 	}
-	window := m.mem.FetchWindow(target, m.enc.MaxLen())
-	if window == nil {
+	e, err := m.decode(target)
+	if err == errNotExec {
 		return &Fault{Kind: FaultCET, PC: target, Msg: fmt.Sprintf("indirect transfer from %#x to unmapped target", m.pc)}
 	}
-	ins, err := m.enc.Decode(window, target)
-	if err != nil || ins.Kind != arch.Mark {
+	if err != nil || e.ins.Kind != arch.Mark {
 		return &Fault{Kind: FaultCET, PC: target, Msg: fmt.Sprintf("indirect transfer from %#x", m.pc)}
 	}
 	return nil
