@@ -10,7 +10,7 @@ BENCHGUARD = sh scripts/benchguard.sh
 BENCH_BASELINE ?= BENCH_10.json
 BENCH_PR ?= 10
 
-.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch bench-emu obs-guard delta-guard patch-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-record bench-compare check
+.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch bench-emu obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-record bench-compare check
 
 build:
 	$(GO) build ./...
@@ -57,9 +57,9 @@ bench-delta:
 	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkDeltaVsCold -benchtime 3x .
 
 # bench-patch smoke-tests the parallel emit pipeline: the same analysis
-# patched on a 1-worker vs 4-worker pool with the emit caches defeated,
-# asserting byte-identical output and reporting the speedup multiplier
-# (>1x needs more than one CPU).
+# patched on a 1-worker vs 4-worker pool (every Patch re-encodes every
+# unit), asserting byte-identical output and reporting the speedup
+# multiplier (>1x needs more than one CPU).
 bench-patch:
 	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkPatchParallel -benchtime 3x .
 
@@ -80,21 +80,18 @@ obs-guard:
 delta-guard:
 	$(GO) test -run TestDeltaRecomputeBound -v ./internal/core/
 
-# patch-guard asserts — by counters, not timing — that a repeat Patch
-# against an unchanged analysis re-encodes nothing: every function
-# unit's emitted bytes are served from its emit cache (see
-# TestPatchReuseGuard).
-patch-guard:
-	$(GO) test -run TestPatchReuseGuard -v ./internal/core/
-
 # alloc-guard asserts the hot paths stay inside the allocation budgets
 # recorded in the committed trajectory snapshot (TestAllocBudget; skips
-# itself when no BENCH_*.json exists yet), and that the emulator's
-# steady-state Run allocates nothing and Load does not materialise the
-# stack (one benchguard-wrapped run per test, so renaming either fails
-# loudly).
+# itself when no BENCH_*.json exists yet), that emission allocates
+# nothing per instruction — arch.EmitInto zero times for every ISA ×
+# expansion form, a warm Patch's emit stage at most 0.01 times per
+# emitted instruction (TestEmitAllocationFree) — and that the
+# emulator's steady-state Run allocates nothing and Load does not
+# materialise the stack (one benchguard-wrapped run per test, so
+# renaming any of them fails loudly).
 alloc-guard:
 	$(GO) test -run TestAllocBudget -v .
+	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -run 'TestEmitAllocationFree' -v ./internal/core/
 	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -run 'TestRunAllocationFree' -v ./internal/emu/
 	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -run 'TestLoadAllocationBounded' -v ./internal/emu/
 
@@ -122,7 +119,7 @@ batch-guard:
 # under -race: guided output behaves identically to the original with
 # exact counter semantics and fewer cycles, corrupt/empty profiles
 # degrade to the unguided bytes, and the 3-arch × 3-mode determinism
-# sweep pins serial ≡ parallel ≡ emit-cache ≡ delta for guided plans.
+# sweep pins serial ≡ parallel ≡ repeat ≡ delta for guided plans.
 # Benchguard-wrapped so a renamed test cannot silently turn the guard
 # into a no-op.
 profile-guard:
@@ -151,4 +148,4 @@ bench-record:
 bench-compare:
 	$(GO) run ./cmd/icfg-experiments -bench-compare $(BENCH_BASELINE)
 
-check: fmt-check vet race fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard patch-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-compare
+check: fmt-check vet race fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-compare

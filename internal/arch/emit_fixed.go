@@ -38,96 +38,91 @@ func (e fixedEmitter) ExpandedLen(env EmitEnv, ins Instr, exp Expand) int {
 	}
 }
 
-// Render returns the item's final instruction sequence.
-func (e fixedEmitter) Render(env EmitEnv, it EmitItem) ([]Instr, error) {
+// Render appends the item's final instruction sequence to dst.
+func (e fixedEmitter) Render(dst []Instr, env EmitEnv, it EmitItem) ([]Instr, error) {
 	switch it.Expand {
 	case ExpandNone:
-		return renderForm(it), nil
+		return renderForm(dst, it), nil
 	case ExpandCondIsland:
-		return renderCondIsland(e.a, it), nil
+		return renderCondIsland(dst, e.a, it), nil
 	case ExpandLeaPair:
-		return renderLeaPair(it), nil
+		return renderLeaPair(dst, it), nil
 	case ExpandFarBranch, ExpandFarCall:
-		return e.veneer(env, it.NewAddr, it.Expand, it.Target)
+		return e.veneer(dst, env, it.NewAddr, it.Expand, it.Target)
 	case ExpandEmulCall, ExpandEmulCallInd, ExpandEmulCallFar:
-		return e.emulatedCall(env, it)
+		return e.emulatedCall(dst, env, it)
 	}
-	return nil, fmt.Errorf("arch: %s: unsupported expansion %s at %#x -> %#x (orig %#x)",
+	return dst, fmt.Errorf("arch: %s: unsupported expansion %s at %#x -> %#x (orig %#x)",
 		e.a, it.Expand, it.NewAddr, it.Target, it.OrigAddr)
 }
 
-// emulatedCall renders the fixed-width call emulation: the ORIGINAL
+// emulatedCall appends the fixed-width call emulation: the ORIGINAL
 // return address is materialised into LR, then control branches to the
 // target (through a veneer when it is out of direct branch range).
-func (e fixedEmitter) emulatedCall(env EmitEnv, it EmitItem) ([]Instr, error) {
+func (e fixedEmitter) emulatedCall(dst []Instr, env EmitEnv, it EmitItem) ([]Instr, error) {
 	origRA := it.OrigAddr + uint64(it.OrigLen)
-	seq := []Instr{
-		{Kind: MovImm16, Rd: LR, Imm: int64(origRA & 0xFFFF)},
-		{Kind: MovK16, Rd: LR, Imm: int64((origRA >> 16) & 0xFFFF), Shift: 1},
-	}
+	start := len(dst)
 	if env.PIE {
 		hi := Instr{Kind: LeaHi, Rd: LR, Addr: it.NewAddr}
 		hi.SetTarget(origRA)
-		seq = []Instr{
-			hi,
-			{Kind: AddImm16, Rd: LR, Rs1: LR, Imm: int64(origRA & 0xFFF)},
-		}
+		dst = append(dst, hi, Instr{Kind: AddImm16, Rd: LR, Rs1: LR, Imm: int64(origRA & 0xFFF)})
+	} else {
+		dst = append(dst,
+			Instr{Kind: MovImm16, Rd: LR, Imm: int64(origRA & 0xFFFF)},
+			Instr{Kind: MovK16, Rd: LR, Imm: int64((origRA >> 16) & 0xFFFF), Shift: 1},
+		)
 	}
 	if it.Expand == ExpandEmulCallFar {
-		tail, err := e.veneer(env, it.NewAddr+8, ExpandFarBranch, it.Target)
-		if err != nil {
-			return nil, err
+		var err error
+		if dst, err = e.veneer(dst, env, it.NewAddr+8, ExpandFarBranch, it.Target); err != nil {
+			return dst[:start], err
 		}
-		seq = append(seq, tail...)
 	} else if it.Ins.Kind == CallInd {
-		seq = append(seq, Instr{Kind: JumpInd, Rs1: it.Ins.Rs1})
+		dst = append(dst, Instr{Kind: JumpInd, Rs1: it.Ins.Rs1})
 	} else {
 		br := Instr{Kind: Branch, Addr: it.NewAddr + 8}
 		br.SetTarget(it.Target)
-		seq = append(seq, br)
+		dst = append(dst, br)
 	}
 	addr := it.NewAddr
-	for i := range seq {
-		seq[i].Addr = addr
+	for i := start; i < len(dst); i++ {
+		dst[i].Addr = addr
 		addr += 4
 	}
-	return seq, nil
+	return dst, nil
 }
 
-// veneer forms a far transfer through the TAR register: TOC-relative
+// veneer appends a far transfer through the TAR register: TOC-relative
 // address formation on PPC (addis/addi), page-relative on A64 (the
 // ip0-style veneer), then an indirect branch or call.
-func (e fixedEmitter) veneer(env EmitEnv, newAddr uint64, exp Expand, t uint64) ([]Instr, error) {
-	var seq []Instr
+func (e fixedEmitter) veneer(dst []Instr, env EmitEnv, newAddr uint64, exp Expand, t uint64) ([]Instr, error) {
+	start := len(dst)
 	if e.a == PPC {
 		off := int64(t - env.TOCValue)
 		lo := int64(int16(off))
 		hi := (off - lo) >> 16
 		if hi < -(1<<15) || hi >= 1<<15 {
-			return nil, fmt.Errorf("arch: %s: %s veneer at %#x: target %#x beyond ±2GB of TOC %#x",
+			return dst, fmt.Errorf("arch: %s: %s veneer at %#x: target %#x beyond ±2GB of TOC %#x",
 				e.a, exp, newAddr, t, env.TOCValue)
 		}
-		seq = []Instr{
-			{Kind: AddIS, Rd: TAR, Rs1: TOCReg, Imm: hi},
-			{Kind: AddImm16, Rd: TAR, Rs1: TAR, Imm: lo},
-		}
+		dst = append(dst,
+			Instr{Kind: AddIS, Rd: TAR, Rs1: TOCReg, Imm: hi},
+			Instr{Kind: AddImm16, Rd: TAR, Rs1: TAR, Imm: lo},
+		)
 	} else {
 		hi := Instr{Kind: LeaHi, Rd: TAR, Addr: newAddr}
 		hi.SetTarget(t)
-		seq = []Instr{
-			hi,
-			{Kind: AddImm16, Rd: TAR, Rs1: TAR, Imm: int64(t & 0xFFF)},
-		}
+		dst = append(dst, hi, Instr{Kind: AddImm16, Rd: TAR, Rs1: TAR, Imm: int64(t & 0xFFF)})
 	}
 	kind := JumpInd
 	if exp == ExpandFarCall {
 		kind = CallInd
 	}
-	seq = append(seq, Instr{Kind: kind, Rs1: TAR})
+	dst = append(dst, Instr{Kind: kind, Rs1: TAR})
 	addr := newAddr
-	for i := range seq {
-		seq[i].Addr = addr
+	for i := start; i < len(dst); i++ {
+		dst[i].Addr = addr
 		addr += 4
 	}
-	return seq, nil
+	return dst, nil
 }

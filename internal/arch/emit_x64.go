@@ -39,27 +39,27 @@ func (x64Emitter) ExpandedLen(env EmitEnv, ins Instr, exp Expand) int {
 	}
 }
 
-// Render returns the item's final instruction sequence.
-func (e x64Emitter) Render(env EmitEnv, it EmitItem) ([]Instr, error) {
+// Render appends the item's final instruction sequence to dst.
+func (e x64Emitter) Render(dst []Instr, env EmitEnv, it EmitItem) ([]Instr, error) {
 	switch it.Expand {
 	case ExpandNone:
-		return renderForm(it), nil
+		return renderForm(dst, it), nil
 	case ExpandCondIsland:
-		return renderCondIsland(X64, it), nil
+		return renderCondIsland(dst, X64, it), nil
 	case ExpandLeaPair:
-		return renderLeaPair(it), nil
+		return renderLeaPair(dst, it), nil
 	case ExpandEmulCall, ExpandEmulCallInd:
-		return e.emulatedCall(env, it), nil
+		return e.emulatedCall(dst, env, it), nil
 	}
-	return nil, fmt.Errorf("arch: x64: unsupported expansion %s at %#x -> %#x (orig %#x)",
+	return dst, fmt.Errorf("arch: x64: unsupported expansion %s at %#x -> %#x (orig %#x)",
 		it.Expand, it.NewAddr, it.Target, it.OrigAddr)
 }
 
-// emulatedCall renders the call emulation sequence: the ORIGINAL return
+// emulatedCall appends the call emulation sequence: the ORIGINAL return
 // address is pushed, then control branches to the target. The callee's
 // eventual return therefore lands at the original fall-through in
 // .text, where a trampoline must wait.
-func (x64Emitter) emulatedCall(env EmitEnv, it EmitItem) []Instr {
+func (x64Emitter) emulatedCall(dst []Instr, env EmitEnv, it EmitItem) []Instr {
 	origRA := it.OrigAddr + uint64(it.OrigLen)
 	scratch := R8
 	if it.Ins.Kind == CallInd && it.Ins.Rs1 == R8 {
@@ -72,18 +72,20 @@ func (x64Emitter) emulatedCall(env EmitEnv, it EmitItem) []Instr {
 		// address is a link-time constant).
 		mat = Instr{Kind: Lea, Rd: scratch}
 	}
-	seq := []Instr{
-		{Kind: Store, Rs2: scratch, Rs1: SP, Size: 8, Imm: -16},
+	start := len(dst)
+	dst = append(dst,
+		Instr{Kind: Store, Rs2: scratch, Rs1: SP, Size: 8, Imm: -16},
 		mat,
-		{Kind: ALUImm, Op: Sub, Rd: SP, Rs1: SP, Imm: 8},
-		{Kind: Store, Rs2: scratch, Rs1: SP, Size: 8, Imm: 0},
-		{Kind: Load, Rd: scratch, Rs1: SP, Size: 8, Imm: -8},
-	}
+		Instr{Kind: ALUImm, Op: Sub, Rd: SP, Rs1: SP, Imm: 8},
+		Instr{Kind: Store, Rs2: scratch, Rs1: SP, Size: 8, Imm: 0},
+		Instr{Kind: Load, Rd: scratch, Rs1: SP, Size: 8, Imm: -8},
+	)
 	if it.Ins.Kind == CallInd {
-		seq = append(seq, Instr{Kind: JumpInd, Rs1: it.Ins.Rs1})
+		dst = append(dst, Instr{Kind: JumpInd, Rs1: it.Ins.Rs1})
 	} else {
-		seq = append(seq, Instr{Kind: Branch})
+		dst = append(dst, Instr{Kind: Branch})
 	}
+	seq := dst[start:]
 	addr := it.NewAddr
 	for i := range seq {
 		seq[i].Addr = addr
@@ -95,5 +97,5 @@ func (x64Emitter) emulatedCall(env EmitEnv, it EmitItem) []Instr {
 	if it.Ins.Kind != CallInd {
 		seq[len(seq)-1].SetTarget(it.Target)
 	}
-	return seq
+	return dst
 }

@@ -11,8 +11,10 @@ import "fmt"
 // to turn a laid-out item into bytes, so variable-width X64 and the
 // fixed-width ISAs stay behind one interface and emission of one item is
 // a pure function of (item, env, arch): two items with equal fields emit
-// equal bytes, which is what makes parallel and reuse-aware emission
-// byte-identical to a serial pass.
+// equal bytes, which is what makes parallel emission byte-identical to a
+// serial pass. Emission is cheap enough — render into a stack buffer,
+// append-encode into the output window, no allocation — that it is
+// recomputed on every Patch rather than cached.
 
 // PatchForm says where an item's resolved target lands in the
 // instruction.
@@ -105,7 +107,7 @@ type EmitEnv struct {
 // EmitItem is one laid-out relocation item, ready for encoding. Every
 // field the Emitter consumes is right here: emission never looks at the
 // plan, the relocation map, or the binary, so equal items emit equal
-// bytes and cached unit bytes can stand in for re-encoding.
+// bytes whichever worker encodes them.
 type EmitItem struct {
 	// Ins is the instruction to emit (for expansions, the seed the
 	// sequence grows from).
@@ -143,9 +145,11 @@ type Emitter interface {
 	Arch() Arch
 	// ExpandedLen returns the encoded length of ins under expansion exp.
 	ExpandedLen(env EmitEnv, ins Instr, exp Expand) int
-	// Render returns the item's final instruction sequence with resolved
-	// displacements and assigned addresses.
-	Render(env EmitEnv, it EmitItem) ([]Instr, error)
+	// Render appends the item's final instruction sequence, with
+	// resolved displacements and assigned addresses, to dst and returns
+	// the extended slice. It allocates only when dst lacks capacity; no
+	// item renders to more than eight instructions.
+	Render(dst []Instr, env EmitEnv, it EmitItem) ([]Instr, error)
 	// DispatchStub returns the per-function variant-dispatch stub for
 	// profile-guided multi-version rewriting: spill the scratch register
 	// below the stack pointer, materialise the function's selector cell
@@ -206,37 +210,55 @@ func EmitterFor(a Arch) Emitter {
 	return fixedEmitter{a: a}
 }
 
+// maxRenderLen bounds the instruction count of any rendered item (the
+// X64 emulated call, six instructions, is the longest sequence).
+const maxRenderLen = 8
+
 // EmitInto renders and encodes one item into dst (which must be at least
-// it.NewLen bytes) and returns the number of bytes written. A sequence
-// that encodes to a different length than layout assigned is an internal
-// inconsistency between ExpandedLen and Render and is reported as an
-// error rather than corrupting neighbouring items.
+// it.NewLen bytes) and returns the number of bytes written. The sequence
+// is rendered into a stack buffer and encoded straight into dst, so
+// emission allocates nothing. A sequence that encodes to a different
+// length than layout assigned is an internal inconsistency between
+// ExpandedLen and Render and is reported as an error rather than
+// corrupting neighbouring items.
 func EmitInto(e Emitter, env EmitEnv, it EmitItem, dst []byte) (int, error) {
-	seq, err := e.Render(env, it)
+	var buf [maxRenderLen]Instr
+	var seq []Instr
+	var err error
+	// Dispatch statically on the built-in emitters so buf does not
+	// escape through the interface call.
+	switch e := e.(type) {
+	case x64Emitter:
+		seq, err = e.Render(buf[:0], env, it)
+	case fixedEmitter:
+		seq, err = e.Render(buf[:0], env, it)
+	default:
+		seq, err = e.Render(nil, env, it)
+	}
 	if err != nil {
 		return 0, err
 	}
-	enc := ForArch(e.Arch())
-	total := 0
+	a := e.Arch()
+	// Capping the window's capacity at NewLen makes an overlong
+	// sequence reallocate instead of spilling into the next item; the
+	// length check below then reports it.
+	w := dst[:0:it.NewLen]
 	for _, ins := range seq {
-		bs, err := enc.Encode(ins)
-		if err != nil {
+		if w, err = appendEncode(a, w, ins); err != nil {
 			return 0, fmt.Errorf("arch: %s: encoding relocated %s (expand %s, at %#x -> %#x, orig %#x): %w",
-				e.Arch(), ins, it.Expand, it.NewAddr, it.Target, it.OrigAddr, err)
+				a, ins, it.Expand, it.NewAddr, it.Target, it.OrigAddr, err)
 		}
-		copy(dst[total:], bs)
-		total += len(bs)
 	}
-	if total != it.NewLen {
+	if len(w) != it.NewLen {
 		return 0, fmt.Errorf("arch: %s: item at %#x -> %#x (expand %s, orig %#x) emitted %d bytes, laid out %d",
-			e.Arch(), it.NewAddr, it.Target, it.Expand, it.OrigAddr, total, it.NewLen)
+			a, it.NewAddr, it.Target, it.Expand, it.OrigAddr, len(w), it.NewLen)
 	}
-	return total, nil
+	return len(w), nil
 }
 
-// renderForm applies the item's patch form to a single instruction — the
-// ExpandNone case shared by every emitter.
-func renderForm(it EmitItem) []Instr {
+// renderForm appends the item's instruction with its patch form applied
+// — the ExpandNone case shared by every emitter.
+func renderForm(dst []Instr, it EmitItem) []Instr {
 	ins := it.Ins
 	ins.Addr = it.NewAddr
 	switch {
@@ -250,11 +272,11 @@ func renderForm(it EmitItem) []Instr {
 	case it.Form == FormImmHi16:
 		ins.Imm = int64((it.Target >> (16 * ins.Shift)) & 0xFFFF)
 	}
-	return []Instr{ins}
+	return append(dst, ins)
 }
 
-// renderCondIsland renders bcond.neg over a full-range branch.
-func renderCondIsland(a Arch, it EmitItem) []Instr {
+// renderCondIsland appends bcond.neg over a full-range branch.
+func renderCondIsland(dst []Instr, a Arch, it EmitItem) []Instr {
 	ins := it.Ins
 	ins.Addr = it.NewAddr
 	condLen := EncLen(a, ins)
@@ -263,16 +285,16 @@ func renderCondIsland(a Arch, it EmitItem) []Instr {
 	neg := ins
 	neg.Cond = ins.Cond.Negate()
 	neg.SetTarget(it.NewAddr + uint64(it.NewLen))
-	return []Instr{neg, branch}
+	return append(dst, neg, branch)
 }
 
-// renderLeaPair renders the adrp-style page/offset pair replacing a
+// renderLeaPair appends the adrp-style page/offset pair replacing a
 // PC-relative lea whose displacement no longer fits.
-func renderLeaPair(it EmitItem) []Instr {
+func renderLeaPair(dst []Instr, it EmitItem) []Instr {
 	hi := Instr{Kind: LeaHi, Rd: it.Ins.Rd, Addr: it.NewAddr}
 	hi.SetTarget(it.Target)
 	lo := Instr{Kind: AddImm16, Rd: it.Ins.Rd, Rs1: it.Ins.Rd, Imm: int64(it.Target & 0xFFF), Addr: it.NewAddr + 4}
-	return []Instr{hi, lo}
+	return append(dst, hi, lo)
 }
 
 // emulRALen is the length of the X64 instruction materialising the

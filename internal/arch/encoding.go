@@ -10,11 +10,13 @@ import (
 type Encoding interface {
 	// Arch identifies the architecture this encoding serves.
 	Arch() Arch
-	// Encode returns the machine bytes of the instruction. It fails if
-	// the instruction kind does not exist on the architecture, if an
-	// immediate or displacement does not fit its field, or if a
-	// PC-relative offset is out of branch range.
-	Encode(i Instr) ([]byte, error)
+	// AppendEncode appends the machine bytes of the instruction to dst
+	// and returns the extended slice; it allocates only when dst lacks
+	// capacity. It fails, returning dst unchanged, if the instruction
+	// kind does not exist on the architecture, if an immediate or
+	// displacement does not fit its field, or if a PC-relative offset is
+	// out of branch range.
+	AppendEncode(dst []byte, i Instr) ([]byte, error)
 	// Decode decodes the instruction at the start of b, which is located
 	// at address addr. Undecodable bytes yield an Illegal instruction of
 	// minimal length rather than an error; an error is returned only when
@@ -32,6 +34,16 @@ var ErrShortBuffer = errors.New("arch: buffer too short to decode an instruction
 // rangeError describes an out-of-range immediate or displacement.
 func rangeError(i Instr, what string, v int64) error {
 	return fmt.Errorf("arch: %s out of range in %q: %d", what, i.String(), v)
+}
+
+// appendEncode is AppendEncode dispatched statically on the
+// architecture, so a caller's stack buffer does not escape through the
+// Encoding interface.
+func appendEncode(a Arch, dst []byte, i Instr) ([]byte, error) {
+	if a == X64 {
+		return x64Encoding{}.AppendEncode(dst, i)
+	}
+	return fixedEncoding{arch: a}.AppendEncode(dst, i)
 }
 
 // ForArch returns the Encoding for architecture a.
@@ -114,9 +126,11 @@ func fitsSigned(v int64, bits uint) bool {
 
 // DecodeAll decodes the byte slice b, assumed to start at address addr,
 // into consecutive instructions until the bytes are exhausted. Undecodable
-// bytes appear as Illegal instructions. It is a convenience for tests and
-// the objdump tool; the CFG builder performs control-flow traversal
-// instead of this linear sweep.
+// bytes appear as Illegal instructions. This linear sweep backs the
+// analysis passes that need every instruction of a range — boundary
+// scan, function discovery, gap scan and padding ranges — as well as
+// the objdump tool; the CFG builder itself follows control flow
+// instead.
 func DecodeAll(a Arch, b []byte, addr uint64) []Instr {
 	enc := ForArch(a)
 	var out []Instr

@@ -250,22 +250,22 @@ func finishSeq(a Arch, class TrampolineClass, from, to uint64, scratch Reg, ins 
 	}
 }
 
-// Encode serialises the trampoline's instruction sequence.
-func (t Trampoline) Encode(a Arch) ([]byte, error) {
-	enc := ForArch(a)
-	var out []byte
+// AppendEncode appends the trampoline's encoded instruction sequence to
+// dst and returns the extended slice; with a dst of capacity Len it
+// allocates nothing.
+func (t Trampoline) AppendEncode(dst []byte, a Arch) ([]byte, error) {
+	start := len(dst)
 	for _, ins := range t.Instrs {
-		b, err := enc.Encode(ins)
-		if err != nil {
-			return nil, fmt.Errorf("arch: %s: encoding %s trampoline at %#x -> %#x: %w", a, t.Class, t.From, t.To, err)
+		var err error
+		if dst, err = appendEncode(a, dst, ins); err != nil {
+			return dst[:start], fmt.Errorf("arch: %s: encoding %s trampoline at %#x -> %#x: %w", a, t.Class, t.From, t.To, err)
 		}
-		out = append(out, b...)
 	}
-	if len(out) != t.Len {
-		return nil, fmt.Errorf("arch: %s: %s trampoline at %#x -> %#x length mismatch: declared %d, encoded %d",
-			a, t.Class, t.From, t.To, t.Len, len(out))
+	if n := len(dst) - start; n != t.Len {
+		return dst[:start], fmt.Errorf("arch: %s: %s trampoline at %#x -> %#x length mismatch: declared %d, encoded %d",
+			a, t.Class, t.From, t.To, t.Len, n)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Table2Row is one row of the paper's Table 2, regenerated by the

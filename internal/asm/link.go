@@ -153,11 +153,11 @@ func (b *Builder) Link() (*bin.Binary, *DebugInfo, error) {
 				}
 				patchRef(&s.ins, s.ref.mode, target)
 			}
-			bs, err := enc.Encode(s.ins)
-			if err != nil {
+			// Encode in place: the rest of .text is the capacity.
+			off := s.ins.Addr - b.textBase
+			if _, err := enc.AppendEncode(text[off:off], s.ins); err != nil {
 				return nil, nil, fmt.Errorf("asm: %s at %#x in %s: %w", s.ins, s.ins.Addr, f.name, err)
 			}
-			copy(text[s.ins.Addr-b.textBase:], bs)
 		}
 	}
 

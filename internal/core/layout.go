@@ -15,7 +15,7 @@ import (
 // islands, adrp pairs, and veneers through the emitter's ExpandedLen,
 // never through actual encoding. After layout, every item has a final
 // (newAddr, newLen) and every resolved target is a pure function of the
-// plan, which is what emit-stage parallelism and reuse rely on.
+// plan, which is what emit-stage parallelism relies on.
 
 // sectionMove relocates one dynamic-linking section, retiring the
 // original range as trampoline scratch space (Section 3).
@@ -135,14 +135,21 @@ func (p *PatchPlan) resolveTarget(it *planItem) uint64 {
 func (p *PatchPlan) layout(instrBase uint64) error {
 	p.instrBase = instrBase
 	a := p.an.Binary.Arch
+	// Return-address contributions are fixed by the plan, so each
+	// unit's slot in the emit stage's pair slice is assigned once here.
 	mapped, fastMapped := 0, 0
+	p.raCount = 0
 	for _, u := range p.units {
+		u.raStart = p.raCount
 		for i := range u.items {
 			if u.items[i].mapAddr != 0 {
 				mapped++
 			}
 			if u.items[i].vmap != 0 {
 				fastMapped++
+			}
+			if u.items[i].ra != raNone {
+				p.raCount++
 			}
 		}
 	}

@@ -57,10 +57,8 @@ type Metrics struct {
 	// recomputes everything.
 	FuncsReused     int
 	FuncsRecomputed int
-	// PatchFuncsReused / PatchFuncsReencoded report the emit stage's work
-	// split: how many function units were copied from their emit cache
-	// versus rendered and encoded. A first Patch re-encodes everything.
-	PatchFuncsReused    int
+	// PatchFuncsReencoded counts the function units the emit stage
+	// encoded: every non-empty unit, on every Patch.
 	PatchFuncsReencoded int
 }
 
@@ -106,7 +104,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.AnalysisFailures += o.AnalysisFailures
 	m.FuncsReused += o.FuncsReused
 	m.FuncsRecomputed += o.FuncsRecomputed
-	m.PatchFuncsReused += o.PatchFuncsReused
 	m.PatchFuncsReencoded += o.PatchFuncsReencoded
 }
 
@@ -136,9 +133,9 @@ func (m Metrics) Render() string {
 		fmt.Fprintf(&b, " %s=%s", s.Name, s.Wall.Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, " total=%s\n", m.TotalWall().Round(time.Microsecond))
-	fmt.Fprintf(&b, "counters: cfl-blocks=%d scratch-blocks=%d scratch-bytes=%d (free %d) trampolines=%d tables-cloned=%d analysis-failures=%d funcs-reused=%d funcs-recomputed=%d patch-reused=%d patch-reencoded=%d",
+	fmt.Fprintf(&b, "counters: cfl-blocks=%d scratch-blocks=%d scratch-bytes=%d (free %d) trampolines=%d tables-cloned=%d analysis-failures=%d funcs-reused=%d funcs-recomputed=%d patch-reencoded=%d",
 		m.CFLBlocks, m.ScratchBlocks, m.ScratchBytesHarvested, m.ScratchBytesFree,
 		m.TrampolineTotal(), m.ClonedTables, m.AnalysisFailures, m.FuncsReused, m.FuncsRecomputed,
-		m.PatchFuncsReused, m.PatchFuncsReencoded)
+		m.PatchFuncsReencoded)
 	return b.String()
 }

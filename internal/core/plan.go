@@ -67,16 +67,16 @@ type planItem struct {
 	vmap uint64
 }
 
-// planUnit is one relocated function's plan. fu is the function's
-// analysis unit, which carries the emit-reuse cache across Patch calls
-// and binary versions. items is a value slab — one allocation per unit
-// instead of one per instruction, recycled across Patch calls through
-// itemSlabPool (pool.go) — so stages address items by index, never by
-// retained pointer.
+// planUnit is one relocated function's plan. items is a value slab —
+// one allocation per unit instead of one per instruction, recycled
+// across Patch calls through itemSlabPool (pool.go) — so stages address
+// items by index, never by retained pointer.
 type planUnit struct {
 	fn    *cfg.Func
-	fu    *FuncUnit
 	items []planItem
+	// raStart indexes the unit's first return-address pair in the
+	// plan-wide slice the emit stage fills (assigned by layout).
+	raStart int
 	// Variant planning (profile-guided functions only): variants counts
 	// alternate bodies (0 or 1), fastStart indexes the first fast-body
 	// item, varSlot indexes the plan-level varAddr table the dispatch
@@ -114,7 +114,7 @@ type funcTramp struct {
 // the patch will do, independent of byte encodings. A plan is built by
 // the plan stage, has addresses assigned by the layout stage, and is
 // consumed read-only by the emit stage — so emission can run on a worker
-// pool and unchanged units can skip re-encoding entirely.
+// pool.
 type PatchPlan struct {
 	an      *Analysis
 	mode    Mode
@@ -153,6 +153,7 @@ type PatchPlan struct {
 	instrBase uint64
 	instrEnd  uint64
 	unitStart map[string]uint64 // function name -> relocated unit start
+	raCount   int               // return-address pairs across all units
 	relocMap  map[uint64]uint64
 	fastReloc map[uint64]uint64 // original addr -> fast-body copy's addr
 	varAddr   []uint64          // variant slot -> fast-body entry addr
@@ -339,7 +340,7 @@ func (p *PatchPlan) countPoints(f *cfg.Func) int {
 // (sharing the full body's cell) and resolves intra-function control
 // flow through fastReloc so hot loops never leave the sparse copy.
 func (p *PatchPlan) buildUnit(g *cfg.Graph, f *cfg.Func, cell uint64, varSlot int, selCell uint64) (*planUnit, map[uint64]uint64) {
-	u := &planUnit{fn: f, fu: p.an.unitOf[f], varSlot: -1}
+	u := &planUnit{fn: f, varSlot: -1}
 	// Size the item slab up front: one item per instruction plus room
 	// for inserted snippets and fall-through branches. Underestimates
 	// just regrow the slab (the grown one is what gets recycled).
@@ -348,7 +349,7 @@ func (p *PatchPlan) buildUnit(g *cfg.Graph, f *cfg.Func, cell uint64, varSlot in
 		est += len(blk.Instrs) + 1
 	}
 	if p.req.Payload == instrument.PayloadCounter {
-		est += 4 * p.countPoints(f)
+		est += instrument.CounterSnippetMaxLen * p.countPoints(f)
 	}
 	if varSlot >= 0 {
 		est = 2*est + 16 // stub, two restores, the fast body
@@ -404,7 +405,6 @@ func (p *PatchPlan) buildUnit(g *cfg.Graph, f *cfg.Func, cell uint64, varSlot in
 // appendFullBody appends the function's fully instrumented body — the
 // exact item stream an unguided plan consists of.
 func (p *PatchPlan) appendFullBody(u *planUnit, g *cfg.Graph, f *cfg.Func, cell *uint64, cells map[uint64]uint64) {
-	add := func(it planItem) { u.items = append(u.items, it) }
 	blocks := f.Blocks
 	if p.variant.ReverseBlocks {
 		blocks = make([]*cfg.Block, len(f.Blocks))
@@ -422,12 +422,8 @@ func (p *PatchPlan) appendFullBody(u *planUnit, g *cfg.Graph, f *cfg.Func, cell 
 		// take the historical item order byte-for-byte.
 		var markAddr uint64
 		if len(instrs) > 0 && instrs[0].Kind == arch.Mark {
-			ins := instrs[0]
-			it := planItem{ins: ins, origAddr: ins.Addr, origLen: ins.EncLen, mapAddr: ins.Addr}
-			it.ins.Short = false
-			p.classify(g, f, &it)
-			add(it)
-			markAddr = ins.Addr
+			markAddr = instrs[0].Addr
+			p.appendInstr(u, g, f, &instrs[0], markAddr)
 			instrs = instrs[1:]
 		}
 		if p.req.Where == instrument.BlockEntry ||
@@ -437,21 +433,19 @@ func (p *PatchPlan) appendFullBody(u *planUnit, g *cfg.Graph, f *cfg.Func, cell 
 		if markAddr != 0 && p.req.WantsAddr(markAddr) {
 			p.addSnippet(u, markAddr, cell, cells)
 		}
-		for _, ins := range instrs {
+		for k := range instrs {
+			ins := &instrs[k]
 			if p.req.WantsAddr(ins.Addr) {
 				p.addSnippet(u, ins.Addr, cell, cells)
 			}
-			it := planItem{ins: ins, origAddr: ins.Addr, origLen: ins.EncLen, mapAddr: ins.Addr}
-			it.ins.Short = false // relocated branches use the long form
-			p.classify(g, f, &it)
-			add(it)
+			p.appendInstr(u, g, f, ins, ins.Addr)
 		}
 		// Reordered blocks whose successor was reached by falling
 		// through need an explicit branch to it.
 		if last := blk.Last(); last.FallsThrough() && blk.End < f.End {
 			needBranch := p.variant.ReverseBlocks && (bi+1 >= len(blocks) || blocks[bi+1].Start != blk.End)
 			if needBranch {
-				add(planItem{ins: arch.Instr{Kind: arch.Branch}, tk: tkMapped, pf: arch.FormPCRel, target: blk.End})
+				u.items = append(u.items, planItem{ins: arch.Instr{Kind: arch.Branch}, tk: tkMapped, pf: arch.FormPCRel, target: blk.End})
 			}
 		}
 	}
@@ -464,38 +458,35 @@ func (p *PatchPlan) appendFullBody(u *planUnit, g *cfg.Graph, f *cfg.Func, cell 
 // in relocMap, and intra-function control transfers become tkLocal so
 // they resolve into this copy first.
 func (p *PatchPlan) appendFastBody(u *planUnit, g *cfg.Graph, f *cfg.Func, cells map[uint64]uint64) {
-	b := p.an.Binary
 	for _, blk := range f.Blocks {
 		if blk.Start == f.Entry {
-			c := cells[f.Entry]
-			for k, ins := range instrument.CounterSnippet(b.Arch, b.PIE, c) {
-				it := planItem{ins: ins}
-				if k == 0 {
-					// Entry loops land on the snippet, after the restore:
-					// the restore must only run on arrival from the stub.
-					it.vmap = f.Entry
-				}
-				if ins.Kind == arch.Lea || ins.Kind == arch.LeaHi {
-					it.tk, it.pf, it.target = tkAbs, arch.FormPCRel, c
-					it.ins.Imm = 0
-				}
-				u.items = append(u.items, it)
-			}
+			// Entry loops land on the snippet, after the restore: the
+			// restore must only run on arrival from the stub.
+			p.appendCounter(u, cells[f.Entry], 0, f.Entry)
 		}
-		for _, ins := range blk.Instrs {
-			it := planItem{ins: ins, origAddr: ins.Addr, origLen: ins.EncLen}
-			it.ins.Short = false
-			p.classify(g, f, &it)
+		for k := range blk.Instrs {
+			it := p.appendInstr(u, g, f, &blk.Instrs[k], 0)
 			if it.tk == tkMapped && it.pf == arch.FormPCRel && it.target >= f.Entry && it.target < f.End {
-				switch ins.Kind {
+				switch it.ins.Kind {
 				case arch.Branch, arch.BranchCond, arch.Call:
 					it.tk = tkLocal
 				}
 			}
-			it.vmap = ins.Addr
-			u.items = append(u.items, it)
+			it.vmap = it.origAddr
 		}
 	}
+}
+
+// appendInstr appends the relocation item for the original instruction
+// ins, claiming mapAddr in the relocation map (0 for none), and
+// classifies it in place — the item is built inside the slab rather
+// than copied in.
+func (p *PatchPlan) appendInstr(u *planUnit, g *cfg.Graph, f *cfg.Func, ins *arch.Instr, mapAddr uint64) *planItem {
+	u.items = append(u.items, planItem{ins: *ins, origAddr: ins.Addr, origLen: ins.EncLen, mapAddr: mapAddr})
+	it := &u.items[len(u.items)-1]
+	it.ins.Short = false // relocated branches use the long form
+	p.classify(g, f, it)
+	return it
 }
 
 // addSnippet appends the payload instructions for the point at origAddr.
@@ -508,12 +499,20 @@ func (p *PatchPlan) addSnippet(u *planUnit, origAddr uint64, cell *uint64, cells
 	c := *cell
 	*cell += 8
 	cells[origAddr] = c
+	p.appendCounter(u, c, origAddr, 0)
+}
+
+// appendCounter appends the counter snippet for cell c as plan items,
+// its first item claiming mapAddr (relocMap) and vmap (fastReloc). The
+// snippet renders into a stack buffer, and its address-forming
+// instruction resolves to the cell at layout.
+func (p *PatchPlan) appendCounter(u *planUnit, c, mapAddr, vmap uint64) {
+	var buf [instrument.CounterSnippetMaxLen]arch.Instr
 	b := p.an.Binary
-	seq := instrument.CounterSnippet(b.Arch, b.PIE, c)
-	for k, ins := range seq {
+	for k, ins := range instrument.AppendCounterSnippet(buf[:0], b.Arch, b.PIE, c) {
 		it := planItem{ins: ins}
 		if k == 0 {
-			it.mapAddr = origAddr
+			it.mapAddr, it.vmap = mapAddr, vmap
 		}
 		if ins.Kind == arch.Lea || ins.Kind == arch.LeaHi {
 			it.tk, it.pf, it.target = tkAbs, arch.FormPCRel, c

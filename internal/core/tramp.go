@@ -34,7 +34,7 @@ func preserveMark(nb *bin.Binary, sb superblock) (superblock, error) {
 	if sb.Space-markLen < arch.TrapTrampolineLen(a) {
 		return sb, nil
 	}
-	bs, err := arch.ForArch(a).Encode(arch.Instr{Kind: arch.Mark})
+	bs, err := arch.ForArch(a).AppendEncode(nil, arch.Instr{Kind: arch.Mark})
 	if err != nil {
 		return sb, err
 	}
@@ -114,9 +114,11 @@ func installTrampoline(nb *bin.Binary, text *bin.Section, tr arch.Trampoline, po
 	return nil
 }
 
-// writeTrampoline encodes and stores a trampoline's bytes.
+// writeTrampoline encodes a trampoline's bytes into a stack buffer and
+// stores them.
 func writeTrampoline(nb *bin.Binary, tr arch.Trampoline) error {
-	bs, err := tr.Encode(nb.Arch)
+	var buf [32]byte
+	bs, err := tr.AppendEncode(buf[:0], nb.Arch)
 	if err != nil {
 		return err
 	}

@@ -41,7 +41,7 @@ func (b *textBuilder) at(addr uint64) *textBuilder {
 func (b *textBuilder) emit(instrs ...arch.Instr) *textBuilder {
 	b.t.Helper()
 	for _, ins := range instrs {
-		bs, err := b.enc.Encode(ins)
+		bs, err := b.enc.AppendEncode(nil, ins)
 		if err != nil {
 			b.t.Fatalf("encode %s: %v", ins, err)
 		}
@@ -104,7 +104,7 @@ func (b *textBuilder) binary(data []byte, dataAddr uint64) *bin.Binary {
 
 func (b *textBuilder) encode(ins arch.Instr) []byte {
 	b.t.Helper()
-	bs, err := b.enc.Encode(ins)
+	bs, err := b.enc.AppendEncode(nil, ins)
 	if err != nil {
 		b.t.Fatalf("encode %s: %v", ins, err)
 	}

@@ -90,50 +90,55 @@ const (
 	snipB = arch.R9
 )
 
-// CounterSnippet returns the instruction sequence incrementing the
-// 8-byte cell at cellAddr, transparent to the interrupted register
-// state: the two scratch registers are spilled below the stack pointer
-// and restored. The address is materialised PC-relatively in position
-// independent code and absolutely otherwise.
-func CounterSnippet(a arch.Arch, pie bool, cellAddr uint64) []arch.Instr {
-	seq := []arch.Instr{
-		{Kind: arch.Store, Rs2: snipA, Rs1: arch.SP, Size: 8, Imm: -16},
-		{Kind: arch.Store, Rs2: snipB, Rs1: arch.SP, Size: 8, Imm: -24},
-	}
+// AppendCounterSnippet appends the instruction sequence incrementing
+// the 8-byte cell at cellAddr to dst and returns the extended slice. The
+// sequence is transparent to the interrupted register state: the two
+// scratch registers are spilled below the stack pointer and restored.
+// The address is materialised PC-relatively in position independent
+// code and absolutely otherwise. At most CounterSnippetMaxLen
+// instructions are appended, so a buffer of that capacity never grows.
+func AppendCounterSnippet(dst []arch.Instr, a arch.Arch, pie bool, cellAddr uint64) []arch.Instr {
+	dst = append(dst,
+		arch.Instr{Kind: arch.Store, Rs2: snipA, Rs1: arch.SP, Size: 8, Imm: -16},
+		arch.Instr{Kind: arch.Store, Rs2: snipB, Rs1: arch.SP, Size: 8, Imm: -24},
+	)
 	if pie {
 		if a == arch.X64 {
 			// Lea's displacement is resolved by the relocator once the
 			// snippet's address is known; mark the target via Imm hack:
 			// the relocator rewrites PC-relative operands by absolute
 			// target, so emit with a placeholder and let it SetTarget.
-			seq = append(seq, arch.Instr{Kind: arch.Lea, Rd: snipA, Imm: int64(cellAddr)})
+			dst = append(dst, arch.Instr{Kind: arch.Lea, Rd: snipA, Imm: int64(cellAddr)})
 		} else {
-			seq = append(seq,
+			dst = append(dst,
 				arch.Instr{Kind: arch.LeaHi, Rd: snipA, Imm: int64(cellAddr)},
 				arch.Instr{Kind: arch.AddImm16, Rd: snipA, Rs1: snipA, Imm: int64(cellAddr & 0xFFF)},
 			)
 		}
 	} else {
 		if a == arch.X64 {
-			seq = append(seq, arch.Instr{Kind: arch.MovImm, Rd: snipA, Imm: int64(cellAddr)})
+			dst = append(dst, arch.Instr{Kind: arch.MovImm, Rd: snipA, Imm: int64(cellAddr)})
 		} else {
-			seq = append(seq,
+			dst = append(dst,
 				arch.Instr{Kind: arch.MovImm16, Rd: snipA, Imm: int64(cellAddr & 0xFFFF)},
 				arch.Instr{Kind: arch.MovK16, Rd: snipA, Imm: int64((cellAddr >> 16) & 0xFFFF), Shift: 1},
 			)
 		}
 	}
-	seq = append(seq,
+	return append(dst,
 		arch.Instr{Kind: arch.Load, Rd: snipB, Rs1: snipA, Size: 8},
 		arch.Instr{Kind: arch.ALUImm, Op: arch.Add, Rd: snipB, Rs1: snipB, Imm: 1},
 		arch.Instr{Kind: arch.Store, Rs2: snipB, Rs1: snipA, Size: 8},
 		arch.Instr{Kind: arch.Load, Rd: snipB, Rs1: arch.SP, Size: 8, Imm: -24},
 		arch.Instr{Kind: arch.Load, Rd: snipA, Rs1: arch.SP, Size: 8, Imm: -16},
 	)
-	return seq
 }
 
-// PCRelSnippetIndexes returns the indexes within CounterSnippet output
+// CounterSnippetMaxLen is the longest sequence AppendCounterSnippet
+// appends (the fixed-width ISAs' two-instruction address formation).
+const CounterSnippetMaxLen = 9
+
+// PCRelSnippetIndexes returns the indexes within AppendCounterSnippet output
 // whose operands are PC-relative references to cellAddr and must be
 // re-resolved at the snippet's final address: the Lea (X64 PIE) or the
 // LeaHi (fixed-width PIE). Absolute forms return nothing.

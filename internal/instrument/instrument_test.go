@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"slices"
 	"testing"
 
 	"icfgpatch/internal/arch"
@@ -20,7 +21,7 @@ func TestRequestWants(t *testing.T) {
 func TestCounterSnippetShape(t *testing.T) {
 	for _, a := range arch.All() {
 		for _, pie := range []bool{false, true} {
-			seq := CounterSnippet(a, pie, 0x500000)
+			seq := AppendCounterSnippet(nil, a, pie, 0x500000)
 			if len(seq) < 7 {
 				t.Fatalf("%s pie=%v: snippet too short (%d instrs)", a, pie, len(seq))
 			}
@@ -54,6 +55,16 @@ func TestCounterSnippetShape(t *testing.T) {
 			if incs != 1 {
 				t.Errorf("%s pie=%v: %d increments", a, pie, incs)
 			}
+			// Appending after existing instructions keeps them and adds
+			// the same sequence, within CounterSnippetMaxLen.
+			prefix := arch.Instr{Kind: arch.Trap}
+			got := AppendCounterSnippet([]arch.Instr{prefix}, a, pie, 0x500000)
+			if got[0] != prefix || !slices.Equal(got[1:], seq) {
+				t.Errorf("%s pie=%v: append onto a prefix changed the output", a, pie)
+			}
+			if len(seq) > CounterSnippetMaxLen {
+				t.Errorf("%s pie=%v: %d instructions exceed CounterSnippetMaxLen %d", a, pie, len(seq), CounterSnippetMaxLen)
+			}
 		}
 	}
 }
@@ -61,7 +72,7 @@ func TestCounterSnippetShape(t *testing.T) {
 func TestCounterSnippetAddressing(t *testing.T) {
 	// PIE snippets must form the cell address PC-relatively; position
 	// dependent snippets materialise it.
-	seq := CounterSnippet(arch.X64, true, 0x500000)
+	seq := AppendCounterSnippet(nil, arch.X64, true, 0x500000)
 	foundLea := false
 	for _, ins := range seq {
 		if ins.Kind == arch.Lea {
@@ -74,7 +85,7 @@ func TestCounterSnippetAddressing(t *testing.T) {
 	if !foundLea {
 		t.Error("pie x64 snippet has no lea")
 	}
-	seq = CounterSnippet(arch.A64, false, 0x500000)
+	seq = AppendCounterSnippet(nil, arch.A64, false, 0x500000)
 	for _, ins := range seq {
 		if ins.Kind == arch.LeaHi {
 			t.Error("non-pie snippet uses adrp")

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 
+	"icfgpatch/internal/core"
 	"icfgpatch/internal/obs"
 	"icfgpatch/internal/store"
 	"icfgpatch/internal/workload"
@@ -48,10 +49,9 @@ type metrics struct {
 	// analyses did no function-level work and contribute nothing).
 	funcsReused     *obs.Counter
 	funcsRecomputed *obs.Counter
-	// patchReused / patchReencoded accumulate the emit stage's work split
-	// over every patch this server ran (result-cache replays ran no patch
-	// and contribute nothing).
-	patchReused    *obs.Counter
+	// patchReencoded accumulates the function units the emit stage
+	// encoded over every patch this server ran (result-cache replays ran
+	// no patch and contribute nothing).
 	patchReencoded *obs.Counter
 }
 
@@ -62,15 +62,13 @@ func newMetrics(s *Server) *metrics {
 		requests:  reg.CounterVec("icfg_requests_total", "rewrite requests by outcome", "outcome"),
 		cachePath: reg.CounterVec("icfg_cache_path_total", "served requests by cache path", "path"),
 		stage: reg.HistogramVec("icfg_stage_seconds",
-			"per-stage pipeline latency (excludes result-cache replays)", "stage", nil),
+			"per-stage pipeline latency (excludes result-cache replays, and cached analyses' stages on warm hits)", "stage", nil),
 		request:   reg.Histogram("icfg_request_seconds", "server-side processing time, excluding queueing", nil),
 		queueWait: reg.Histogram("icfg_queue_wait_seconds", "time from enqueue to worker dequeue", nil),
 		funcsReused: reg.Counter("icfg_analysis_funcs_reused_total",
 			"function analysis units reused from the unit store"),
 		funcsRecomputed: reg.Counter("icfg_analysis_funcs_recomputed_total",
 			"function analysis units recomputed"),
-		patchReused: reg.Counter("icfg_patch_funcs_reused_total",
-			"function units whose emitted bytes were copied from the emit cache"),
 		patchReencoded: reg.Counter("icfg_patch_funcs_reencoded_total",
 			"function units rendered and encoded by the emit stage"),
 	}
@@ -126,9 +124,11 @@ func registerCacheGauges(reg *obs.Registry, prefix, what string, stats func() st
 }
 
 // observeServed records a successfully served response: its cache path,
-// end-to-end latency, and — unless the response is a result-cache
-// replay, whose stage timings belong to the run that produced it — the
-// per-stage histogram samples.
+// end-to-end latency, and the per-stage histogram samples of the stages
+// this request actually ran. A result-cache replay ran none; a
+// warm-analysis hit ran only the patch stages — its reply still carries
+// the cached analysis's stage timings, but observing them again would
+// count one analysis once per request that reused it.
 func (m *metrics) observeServed(resp *Response) {
 	m.requests.With(outcomeOK).Inc()
 	m.cachePath.With(respPath(resp)).Inc()
@@ -143,10 +143,12 @@ func (m *metrics) observeServed(resp *Response) {
 		m.funcsRecomputed.Add(uint64(resp.Metrics.FuncsRecomputed))
 	}
 	// The patch stage ran for this request whether or not the analysis
-	// was cached, so its emit split is always this request's work.
-	m.patchReused.Add(uint64(resp.Metrics.PatchFuncsReused))
+	// was cached, so its encoded units are always this request's work.
 	m.patchReencoded.Add(uint64(resp.Metrics.PatchFuncsReencoded))
 	for _, st := range resp.Metrics.Stages {
+		if resp.AnalysisHit && (st.Name == core.StageCFG || st.Name == core.StageFuncPtr) {
+			continue
+		}
 		m.stage.With(st.Name).Observe(st.Wall.Seconds())
 	}
 }

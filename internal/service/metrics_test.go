@@ -44,15 +44,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	cl := &Client{BaseURL: ts.URL}
 
 	full := core.Options{Mode: core.ModeJT, Request: blockEmpty()}
-	// Verify changes the result fingerprint but not one emit input, so the
-	// second request patches against the cached analysis with every
-	// function unit served from its emit cache — the patch-reuse counter's
-	// deterministic source.
+	// Verify changes the result fingerprint but not the analysis, so the
+	// second request patches against the cached analysis.
 	verify := full
 	verify.Verify = true
 	part := full
 	part.Request.Funcs = []string{img.FuncSymbols()[0].Name}
-	// cold, warm-analysis (full emit reuse), result-cache, warm-analysis.
+	// cold, warm-analysis, result-cache, warm-analysis.
 	for _, opts := range []core.Options{full, verify, full, part} {
 		if _, _, err := cl.Rewrite(context.Background(), raw, opts); err != nil {
 			t.Fatal(err)
@@ -84,13 +82,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		`icfg_request_seconds_count 4`,
 		`icfg_queue_wait_seconds_count 4`,
 		// Stage histograms exclude the result-cache replay: the cold and
-		// both warm requests each contribute one sample per stage (a warm
-		// request's analysis stages replay the cached analysis's
-		// timings — see Response.Metrics).
+		// both warm requests each contribute one sample per patch stage,
+		// but only the cold request ran the analysis stages (a warm
+		// reply still carries the cached analysis's timings — see
+		// TestWarmHitObservesOnlyPatchStages).
 		`icfg_stage_seconds_bucket{stage="plan",le="+Inf"} 3`,
 		`icfg_stage_seconds_bucket{stage="layout",le="+Inf"} 3`,
 		`icfg_stage_seconds_bucket{stage="emit",le="+Inf"} 3`,
-		`icfg_stage_seconds_bucket{stage="cfg",le="+Inf"} 3`,
+		`icfg_stage_seconds_bucket{stage="cfg",le="+Inf"} 1`,
+		`icfg_stage_seconds_bucket{stage="funcptr-analysis",le="+Inf"} 1`,
 		`icfg_queue_depth 0`,
 		`icfg_workers 2`,
 		`icfg_store_hits{store="analysis"} 2`,
@@ -104,15 +104,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The patch-reuse split: the cold request re-encoded every unit, the
-	// verify repeat (identical plan and layout) copied every unit from the
-	// emit cache, and the partial request re-encoded against its own
-	// layout. Both sides of the split must therefore be nonzero.
-	if v := metricValue(t, text, "icfg_patch_funcs_reused_total"); v < 1 {
-		t.Errorf("icfg_patch_funcs_reused_total = %v, want >= 1", v)
+	// Every patch encodes its units: the cold and verify requests all of
+	// them, the partial request at least its one function.
+	if v := metricValue(t, text, "icfg_patch_funcs_reencoded_total"); v < 3 {
+		t.Errorf("icfg_patch_funcs_reencoded_total = %v, want >= 3", v)
 	}
-	if v := metricValue(t, text, "icfg_patch_funcs_reencoded_total"); v < 1 {
-		t.Errorf("icfg_patch_funcs_reencoded_total = %v, want >= 1", v)
+	if strings.Contains(text, "icfg_patch_funcs_reused_total") {
+		t.Error("/metrics still exports the removed icfg_patch_funcs_reused_total")
 	}
 
 	// The profiling surface rides on the same mux.
@@ -123,6 +121,58 @@ func TestMetricsEndpoint(t *testing.T) {
 	pres.Body.Close()
 	if pres.StatusCode != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline status = %d", pres.StatusCode)
+	}
+}
+
+// TestWarmHitObservesOnlyPatchStages pins icfg_stage_seconds to the
+// work each request did: a warm-analysis hit ran the patch stages but
+// not the cached analysis, so it adds an emit sample and no cfg sample —
+// while its reply still carries the cached analysis's stage timings,
+// which clients attribute per request.
+func TestWarmHitObservesOnlyPatchStages(t *testing.T) {
+	raw := testBinaryRaw(t)
+	s := New(Config{Workers: 1, ResultEntries: 8})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := &Client{BaseURL: ts.URL}
+	scrape := func() string {
+		res, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	const emitCount, cfgCount = `icfg_stage_seconds_count{stage="emit"}`, `icfg_stage_seconds_count{stage="cfg"}`
+
+	cold := core.Options{Mode: core.ModeJT, Request: blockEmpty()}
+	if _, rep, err := cl.Rewrite(context.Background(), raw, cold); err != nil || rep.AnalysisHit {
+		t.Fatalf("cold request: err=%v reply=%+v", err, rep)
+	}
+	before := scrape()
+	warm := cold
+	warm.Verify = true // a new result fingerprint over the same analysis
+	_, rep, err := cl.Rewrite(context.Background(), raw, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.AnalysisHit || rep.ResultHit {
+		t.Fatalf("second request: analysis-hit=%t result-hit=%t, want a warm-analysis hit", rep.AnalysisHit, rep.ResultHit)
+	}
+	after := scrape()
+	if b, a := metricValue(t, before, emitCount), metricValue(t, after, emitCount); a != b+1 {
+		t.Errorf("emit samples %v -> %v across a warm hit, want +1", b, a)
+	}
+	if b, a := metricValue(t, before, cfgCount), metricValue(t, after, cfgCount); a != b {
+		t.Errorf("cfg samples %v -> %v across a warm hit, want unchanged", b, a)
+	}
+	if !strings.Contains(rep.MetricsText, " cfg=") || !strings.Contains(rep.MetricsText, " funcptr-analysis=") {
+		t.Errorf("warm reply dropped the cached analysis stages: %q", rep.MetricsText)
 	}
 }
 
