@@ -5,12 +5,7 @@ GO ?= go
 # `go test -bench X` exits 0 on both).
 BENCHGUARD = sh scripts/benchguard.sh
 
-# BENCH_BASELINE is the committed performance-trajectory snapshot
-# bench-compare gates against; bench-record overwrites it.
-BENCH_BASELINE ?= BENCH_10.json
-BENCH_PR ?= 10
-
-.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch bench-emu obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-record bench-compare check
+.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch bench-emu obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard check
 
 build:
 	$(GO) build ./...
@@ -81,16 +76,16 @@ delta-guard:
 	$(GO) test -run TestDeltaRecomputeBound -v ./internal/core/
 
 # alloc-guard asserts the hot paths stay inside the allocation budgets
-# recorded in the committed trajectory snapshot (TestAllocBudget; skips
-# itself when no BENCH_*.json exists yet), that emission allocates
-# nothing per instruction — arch.EmitInto zero times for every ISA ×
-# expansion form, a warm Patch's emit stage at most 0.01 times per
-# emitted instruction (TestEmitAllocationFree) — and that the
+# committed as constants in alloc_budget_test.go (TestAllocBudget: warm
+# Patch allocs and bytes, warm and delta Analyze allocs), that emission
+# allocates nothing per instruction — arch.EmitInto zero times for
+# every ISA × expansion form, a warm Patch's emit stage at most 0.01
+# times per emitted instruction (TestEmitAllocationFree) — and that the
 # emulator's steady-state Run allocates nothing and Load does not
 # materialise the stack (one benchguard-wrapped run per test, so
 # renaming any of them fails loudly).
 alloc-guard:
-	$(GO) test -run TestAllocBudget -v .
+	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -run 'TestAllocBudget' -v .
 	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -run 'TestEmitAllocationFree' -v ./internal/core/
 	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -run 'TestRunAllocationFree' -v ./internal/emu/
 	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -run 'TestLoadAllocationBounded' -v ./internal/emu/
@@ -136,16 +131,4 @@ landing-guard:
 	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestSoundFuncPtrWithLandingPads|TestRewrittenCFIBinaryPassesCET|TestMarkerlessByteIdentity|TestCorruptMarkersDegrade' -v .
 	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestUnknownFeatureBitsRejectedAtEveryDoor|TestNoEvidenceFeatureEndToEnd' -v ./internal/cluster/
 
-# bench-record measures the current build's performance trajectory and
-# writes the snapshot this PR commits. Run it once per perf-relevant PR
-# on an idle machine; `make check` then gates against the result.
-bench-record:
-	$(GO) run ./cmd/icfg-experiments -bench-record $(BENCH_BASELINE) -bench-pr $(BENCH_PR)
-
-# bench-compare re-measures the current build and gates it against the
-# committed snapshot, failing on latency or allocs/op regressions
-# beyond the default tolerances.
-bench-compare:
-	$(GO) run ./cmd/icfg-experiments -bench-compare $(BENCH_BASELINE)
-
-check: fmt-check vet race fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-compare
+check: fmt-check vet race fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard

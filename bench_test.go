@@ -6,6 +6,8 @@
 package icfgpatch_test
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -17,6 +19,9 @@ import (
 	"icfgpatch/internal/experiments"
 	"icfgpatch/internal/instrument"
 	"icfgpatch/internal/rtlib"
+	"icfgpatch/internal/service"
+	"icfgpatch/internal/service/batch"
+	"icfgpatch/internal/service/wire"
 	"icfgpatch/internal/workload"
 )
 
@@ -435,6 +440,67 @@ func BenchmarkDeltaVsCold(b *testing.B) {
 	if coldImg != nil && deltaImg != nil && string(coldImg) != string(deltaImg) {
 		b.Fatal("delta rewrite output diverged from cold rewrite")
 	}
+}
+
+// BenchmarkBatchFleet measures fleet-rewrite throughput through the
+// batch API: each iteration submits one job of 12 manifest items cycling
+// over three versions of the libxul-like workload (so identical items
+// dedupe through the analysis store's single flight and the versions
+// exercise the delta path) to a fresh server and manager, the cold fleet
+// the batch API exists for. items_per_s is items over job wall time;
+// server setup and shutdown are not timed.
+func BenchmarkBatchFleet(b *testing.B) {
+	p, err := workload.LibxulCached(arch.X64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v2, _, err := workload.MutateVersion(p.Binary, 3, 17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v3, _, err := workload.MutateVersion(p.Binary, 3, 23)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raws := [][]byte{p.Binary.Marshal(), v2.Marshal(), v3.Marshal()}
+	params, err := wire.EncodeOptions(core.Options{Mode: core.ModeJT, Request: blockEmpty()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const items = 12
+	man := wire.BatchManifest{}
+	for i := 0; i < items; i++ {
+		man.Items = append(man.Items, wire.BatchItem{
+			Name:   fmt.Sprintf("item-%d", i),
+			Opts:   params.Encode(),
+			Binary: raws[i%len(raws)],
+		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv := service.New(service.Config{Workers: 4, ResultEntries: 0})
+		mgr, err := batch.New(srv, batch.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		job, err := mgr.Submit(man)
+		if err == nil {
+			<-job.Done()
+		}
+		b.StopTimer()
+		mgr.Shutdown(context.Background())
+		srv.Shutdown(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := job.Status(); st.State != wire.BatchDone {
+			b.Fatalf("batch job ended %s", st.State)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(items*b.N)/b.Elapsed().Seconds(), "items_per_s")
 }
 
 // BenchmarkDockerGo drives the Section 8.2 Docker experiment's "run"

@@ -272,6 +272,95 @@ func TestInstrumentationIntegrityCounters(t *testing.T) {
 	})
 }
 
+// TestCodeImmediatePointerRemapped covers func-ptr mode's code-immediate
+// pointer sites: a function address materialised in code (movimm on
+// X64, a movz/movk pair on the fixed-width ISAs) and called through a
+// register must be retargeted to the relocated function, so the call
+// runs the instrumented copy and its counters see every execution.
+func TestCodeImmediatePointerRemapped(t *testing.T) {
+	for _, a := range arch.All() {
+		b := asm.New(a, false)
+		callee := b.Func("callee")
+		callee.OpI(arch.Add, arch.R0, arch.R1, 1)
+		callee.Return()
+		m := b.Func("main")
+		m.SetFrame(16)
+		m.Li(arch.R1, 41)
+		m.LoadGlobalAddr(arch.R9, "callee")
+		m.I(arch.Instr{Kind: arch.CallInd, Rs1: arch.R9})
+		m.Print(arch.R0)
+		m.Halt()
+		b.SetEntry("main")
+		img, _, err := b.Link()
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := Analyze(img, AnalysisConfig{Mode: ModeFuncPtr})
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", a, err)
+		}
+		res, err := an.Patch(Options{Mode: ModeFuncPtr,
+			Request: instrument.Request{Where: instrument.BlockEntry, Payload: instrument.PayloadCounter}})
+		if err != nil {
+			t.Fatalf("%s: patch: %v", a, err)
+		}
+		// The relocated materialisation must carry the relocated entry.
+		sites := 0
+		for _, site := range an.PtrSites {
+			if site.Kind != analysis.PtrCodeImm {
+				continue
+			}
+			sites++
+			addr := res.RelocMap[site.Instrs[0]]
+			sec := res.Binary.SectionAt(addr)
+			if sec == nil {
+				t.Fatalf("%s: site %#x not relocated", a, site.Instrs[0])
+			}
+			var got uint64
+			data := sec.Data[addr-sec.Addr:]
+			for i := range site.Instrs {
+				ins, err := arch.ForArch(a).Decode(data, addr)
+				if err != nil {
+					t.Fatalf("%s: decode %#x: %v", a, addr, err)
+				}
+				got |= uint64(ins.Imm) << (16 * i)
+				data, addr = data[ins.EncLen:], addr+uint64(ins.EncLen)
+			}
+			if want := res.RelocMap[site.Value]; got != want {
+				t.Errorf("%s: materialised pointer %#x, want relocated entry %#x (original %#x)", a, got, want, site.Value)
+			}
+		}
+		if sites == 0 {
+			t.Fatalf("%s: no code-immediate pointer site found", a)
+		}
+		var points []uint64
+		for p := range res.CounterCells {
+			points = append(points, p)
+		}
+		want := runOriginal(t, img, points)
+		mr, err := emu.Load(res.Binary, emu.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := mr.Run()
+		if err != nil {
+			t.Fatalf("%s: run rewritten: %v", a, err)
+		}
+		if string(got.Output) != string(want.Output) {
+			t.Fatalf("%s: output diverged: %q vs %q", a, got.Output, want.Output)
+		}
+		for point, cell := range res.CounterCells {
+			cnt, err := mr.MemRead(cell, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cnt != want.Profile[point] {
+				t.Errorf("%s: block %#x: counter = %d, ground truth = %d", a, point, cnt, want.Profile[point])
+			}
+		}
+	}
+}
+
 func TestExceptionsAcrossRewriting(t *testing.T) {
 	build := func(a arch.Arch, pie bool) *bin.Binary {
 		b := asm.New(a, pie)

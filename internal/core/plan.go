@@ -94,6 +94,19 @@ type cloneInfo struct {
 	addr     uint64
 }
 
+// site is what the plan stage knows about one original instruction
+// address before classifying it, so classify makes one lookup per
+// relocated instruction. clone and funcBase are a jump-table clone
+// index plus one (zero: none); when two clones name the same address,
+// the later one wins.
+type site struct {
+	clone    int    // clone whose table base the instruction materialises
+	funcBase int    // clone whose function-start base it materialises
+	widen    bool   // it loads the entries of a widened (sub-word) table
+	hasPtr   bool   // it carries a code pointer as an immediate (func-ptr mode)
+	ptr      uint64 // that pointer's original value
+}
+
 // trampJob is one planned trampoline: the superblock to patch and the
 // scratch register liveness analysis found dead at its start.
 type trampJob struct {
@@ -127,10 +140,7 @@ type PatchPlan struct {
 	clones []*cloneInfo
 	tramps []funcTramp
 
-	baseSite     map[uint64]int // instr addr -> clone index (table base)
-	funcSite     map[uint64]int // instr addr -> clone index (func start base)
-	widenLoad    map[uint64]int
-	codePtrImm   map[uint64]uint64 // instr addr -> original pointer value (func-ptr mode)
+	sites        map[uint64]site // original instr addr -> what classify needs
 	instrumented map[string]bool
 
 	counterCells map[uint64]uint64
@@ -173,10 +183,7 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 		variant:      opts.Variant,
 		emitter:      arch.EmitterFor(b.Arch),
 		env:          arch.EmitEnv{PIE: b.PIE, TOCValue: b.TOCValue},
-		baseSite:     map[uint64]int{},
-		funcSite:     map[uint64]int{},
-		widenLoad:    map[uint64]int{},
-		codePtrImm:   map[uint64]uint64{},
+		sites:        map[uint64]site{},
 		instrumented: make(map[string]bool, len(g.Funcs)),
 		counterCells: map[uint64]uint64{},
 		counterBase:  counterBase,
@@ -202,23 +209,25 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 				if tbl.EntrySize < 4 {
 					ci.newEntry = 4 // widen compressed entries (Section 5.1)
 				}
-				idx := len(p.clones)
 				p.clones = append(p.clones, ci)
+				idx := len(p.clones) // clone index plus one
 				for _, a := range tbl.BaseInstrs {
-					p.baseSite[a] = idx
+					p.setSite(a, func(s *site) { s.clone = idx })
 				}
 				for _, a := range tbl.FuncStartInstrs {
-					p.funcSite[a] = idx
+					p.setSite(a, func(s *site) { s.funcBase = idx })
 				}
-				p.widenLoad[tbl.LoadAddr] = idx
+				p.setSite(tbl.LoadAddr, func(s *site) { s.widen = tbl.EntrySize < 4 })
 			}
 		}
 	}
 	// Code-immediate pointer sites (func-ptr mode) are known before any
 	// unit is built, so classification sees them on the first pass.
-	for _, site := range an.PtrSites {
-		for _, ia := range site.Instrs {
-			p.codePtrImm[ia] = site.Value
+	if p.mode == ModeFuncPtr {
+		for _, ps := range an.PtrSites {
+			for _, ia := range ps.Instrs {
+				p.setSite(ia, func(s *site) { s.hasPtr, s.ptr = true, ps.Value })
+			}
 		}
 	}
 
@@ -525,9 +534,9 @@ func (p *PatchPlan) appendCounter(u *planUnit, c, mapAddr, vmap uint64) {
 // classify decides how the item's operand is re-resolved.
 func (p *PatchPlan) classify(g *cfg.Graph, f *cfg.Func, it *planItem) {
 	ins := it.ins
-	a := ins.Addr
-	if ci, ok := p.baseSite[a]; ok {
-		it.tk, it.target = tkClone, uint64(ci)
+	s := p.sites[ins.Addr]
+	if s.clone > 0 {
+		it.tk, it.target = tkClone, uint64(s.clone-1)
 		switch ins.Kind {
 		case arch.Lea, arch.LeaHi:
 			it.pf = arch.FormPCRel
@@ -540,13 +549,13 @@ func (p *PatchPlan) classify(g *cfg.Graph, f *cfg.Func, it *planItem) {
 		}
 		return
 	}
-	if ci, ok := p.funcSite[a]; ok {
+	if s.funcBase > 0 {
 		// The compressed-table base must be the relocated unit start:
 		// under block reordering the entry block may not come first.
-		it.tk, it.pf, it.target = tkFuncBase, arch.FormPCRel, uint64(ci)
+		it.tk, it.pf, it.target = tkFuncBase, arch.FormPCRel, uint64(s.funcBase-1)
 		return
 	}
-	if ci, ok := p.widenLoad[a]; ok && p.clones[ci].tbl.EntrySize < 4 {
+	if s.widen {
 		it.ins.Size, it.ins.Scale = 4, 4
 	}
 	switch ins.Kind {
@@ -582,16 +591,24 @@ func (p *PatchPlan) classify(g *cfg.Graph, f *cfg.Func, it *planItem) {
 		t, _ := ins.Target()
 		it.tk, it.pf, it.target = tkAbs, arch.FormPCRel, t
 	case arch.MovImm:
-		if v, ok := p.codePtrImm[a]; ok && p.mode == ModeFuncPtr {
-			it.tk, it.pf, it.target = tkMapped, arch.FormImmAbs, v
+		if s.hasPtr {
+			it.tk, it.pf, it.target = tkMapped, arch.FormImmAbs, s.ptr
 		}
 	case arch.MovImm16, arch.MovK16:
-		if v, ok := p.codePtrImm[a]; ok && p.mode == ModeFuncPtr {
-			it.tk, it.pf, it.target = tkMapped, arch.FormImmHi16, v
+		if s.hasPtr {
+			it.tk, it.pf, it.target = tkMapped, arch.FormImmHi16, s.ptr
 		}
 	case arch.Throw, arch.Syscall:
 		it.ra = raSelf
 	}
+}
+
+// setSite updates the site recorded for an original instruction
+// address.
+func (p *PatchPlan) setSite(a uint64, update func(*site)) {
+	s := p.sites[a]
+	update(&s)
+	p.sites[a] = s
 }
 
 // mapsTo reports whether an original code address belongs to a function

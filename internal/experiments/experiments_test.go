@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"icfgpatch/internal/arch"
+	"icfgpatch/internal/workload"
 )
 
 // TestTable3X64Shape asserts the paper's Table 3 qualitative claims on
@@ -388,5 +389,80 @@ func TestProfileGuidedShape(t *testing.T) {
 		if out := res.Render(); !strings.Contains(out, "ratio") || !strings.Contains(out, "variants") {
 			t.Error("render malformed")
 		}
+	}
+}
+
+// TestProfileGuidedRatios pins the capture → guided-rewrite → re-run
+// loop on four programs: two big apps run on the argument that selects
+// their hot path (libxul's latency benchmark, docker's first command), a
+// stripped binary whose functions come from entry discovery rather than
+// symbols, and a SPEC benchmark on a fixed-width ISA. The emulator's
+// cycle model makes the ratios deterministic, so each must stay at or
+// below the value it had when this test was written, and every hot
+// function must get its fast variant.
+func TestProfileGuidedRatios(t *testing.T) {
+	cases := []struct {
+		name     string
+		load     func() (*workload.Program, error)
+		arg      uint64
+		hot      int
+		maxRatio float64
+	}{
+		{"libxul-x64", func() (*workload.Program, error) { return workload.LibxulCached(arch.X64) },
+			workload.CmdLatencyBenchmark, 20, 0.3101455119803743},
+		{"docker-x64", func() (*workload.Program, error) { return workload.DockerCached(arch.X64) },
+			1, 23, 0.25009146217530925},
+		{"libcuda-stripped-x64", func() (*workload.Program, error) {
+			p, err := workload.LibcudaCached(arch.X64)
+			if err != nil {
+				return nil, err
+			}
+			stripped := p.Binary.Clone()
+			stripped.Symbols = nil
+			return &workload.Program{Profile: p.Profile, Binary: stripped}, nil
+		}, 0, 80, 0.44407805316219323},
+		{"spec-perlbench-a64", func() (*workload.Program, error) { return specOne(arch.A64, "600.perlbench_s", false) },
+			0, 11, 0.30303281491228984},
+	}
+	for _, c := range cases {
+		p, err := c.load()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		run := profileGuidedOne(p, c.arg, 0)
+		if !run.Pass {
+			t.Errorf("%s: %s", c.name, run.Reason)
+			continue
+		}
+		if run.HotFuncs != c.hot || run.VariantFuncs != c.hot {
+			t.Errorf("%s: %d hot funcs, %d variants; want %d of each", c.name, run.HotFuncs, run.VariantFuncs, c.hot)
+		}
+		ratio := run.Guided / run.Unguided
+		if !(ratio > 0 && ratio <= c.maxRatio) {
+			t.Errorf("%s: guided/unguided ratio %v, want in (0, %v]", c.name, ratio, c.maxRatio)
+		}
+		t.Logf("%s: hot %d, variants %d, ratio %v", c.name, run.HotFuncs, run.VariantFuncs, ratio)
+	}
+}
+
+// TestLandingPadAcceptanceX64 pins the evidence layer's func-ptr
+// acceptance on the X64 workload pairs exactly: acceptance counts are
+// deterministic, so losing one accepted build fails. Landing pads turn
+// the conservative path's refusals of the go-table and docker CFI
+// builds into sound rewrites: 6 evidence acceptances against 4
+// conservative ones, a coverage ratio of 1.5.
+func TestLandingPadAcceptanceX64(t *testing.T) {
+	res, err := LandingPads(arch.X64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range res.Failures() {
+		t.Error(f)
+	}
+	if res.EvidenceAccepted != 6 || res.ConservativeAccepted != 4 {
+		t.Errorf("accepted: evidence %d, conservative %d; want 6 and 4", res.EvidenceAccepted, res.ConservativeAccepted)
+	}
+	if r := res.CoverageRatio(); r != 1.5 {
+		t.Errorf("coverage ratio %v, want 1.5", r)
 	}
 }
