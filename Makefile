@@ -5,7 +5,7 @@ GO ?= go
 # `go test -bench X` exits 0 on both).
 BENCHGUARD = sh scripts/benchguard.sh
 
-.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch bench-emu obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard check
+.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-emu obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard check
 
 build:
 	$(GO) build ./...
@@ -50,13 +50,6 @@ bench-warm:
 # is asserted byte-identical to a cold v2 rewrite.
 bench-delta:
 	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkDeltaVsCold -benchtime 3x .
-
-# bench-patch smoke-tests the parallel emit pipeline: the same analysis
-# patched on a 1-worker vs 4-worker pool (every Patch re-encodes every
-# unit), asserting byte-identical output and reporting the speedup
-# multiplier (>1x needs more than one CPU).
-bench-patch:
-	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkPatchParallel -benchtime 3x .
 
 # bench-emu measures the emulator on its own: one generated program per
 # ISA loaded and run per iteration, reporting ns/instr, Minstr/s and
@@ -114,7 +107,7 @@ batch-guard:
 # under -race: guided output behaves identically to the original with
 # exact counter semantics and fewer cycles, corrupt/empty profiles
 # degrade to the unguided bytes, and the 3-arch × 3-mode determinism
-# sweep pins serial ≡ parallel ≡ repeat ≡ delta for guided plans.
+# sweep pins cold ≡ staged ≡ repeat ≡ delta for guided plans.
 # Benchguard-wrapped so a renamed test cannot silently turn the guard
 # into a no-op.
 profile-guard:
@@ -131,4 +124,4 @@ landing-guard:
 	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestSoundFuncPtrWithLandingPads|TestRewrittenCFIBinaryPassesCET|TestMarkerlessByteIdentity|TestCorruptMarkersDegrade' -v .
 	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestUnknownFeatureBitsRejectedAtEveryDoor|TestNoEvidenceFeatureEndToEnd' -v ./internal/cluster/
 
-check: fmt-check vet race fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard
+check: fmt-check vet race fuzz-seed bench-warm bench-delta obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard

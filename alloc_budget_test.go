@@ -105,8 +105,7 @@ func TestAllocBudget(t *testing.T) {
 }
 
 // measureAllocs reports mean allocations and bytes per run of fn, with
-// the world pinned to one proc (the testing.AllocsPerRun discipline;
-// parallel workers add a scheduler-dependent handful of allocations).
+// the world pinned to one proc (the testing.AllocsPerRun discipline).
 // warmup runs fn once, unmeasured, so one-time lazy initialisation does
 // not pollute the steady state; setup (optional) produces fresh per-run
 // state outside the measured window.

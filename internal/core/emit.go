@@ -9,12 +9,10 @@ import (
 )
 
 // This file is the EMIT stage of the staged patch pipeline. Each
-// function's unit is encoded independently through the per-arch
-// arch.Emitter: every input the emitter sees — resolved targets,
-// assigned addresses, expansion states — is captured in the unit's
-// items, so units encode on a bounded worker pool into disjoint windows
-// of one output buffer and the merge is deterministic whatever the
-// worker count. Emission is recomputed on every Patch, never cached:
+// function's unit is encoded through the per-arch arch.Emitter into its
+// window of one output buffer: every input the emitter sees — resolved
+// targets, assigned addresses, expansion states — is captured in the
+// unit's items. Emission is recomputed on every Patch, never cached:
 // arch.EmitInto renders into a stack buffer and encodes straight into
 // the unit's window, so re-encoding allocates nothing and costs less
 // than any signature that could prove a cached window still valid.
@@ -57,11 +55,8 @@ func (p *PatchPlan) emitUnit(u *planUnit, out []byte, ra []bin.AddrPair) error {
 }
 
 // emit produces the .instr bytes, the return-address map, and the clone
-// section contents, and counts the units it encoded. Units emit into
-// disjoint windows of out and of raPairs on up to jobs workers; the
-// first error in unit order wins, so the result is byte-for-byte
-// independent of the worker count.
-func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPair, encoded int, err error) {
+// section contents, and counts the units it encoded.
+func (p *PatchPlan) emit() (out, cloneData []byte, raPairs []bin.AddrPair, encoded int, err error) {
 	a := p.an.Binary.Arch
 	// The output buffer comes from the emit pool (see pool.go); it is
 	// fully overwritten here — illegal-instruction fill end to end, then
@@ -69,18 +64,11 @@ func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPai
 	out = getEmitBuf(int(p.instrEnd - p.instrBase))
 	arch.FillIllegal(a, out) // unreachable alignment padding must not execute silently
 	raPairs = make([]bin.AddrPair, p.raCount)
-	errs := make([]error, len(p.units))
-	runIndexed(len(p.units), jobs, func(i int) {
-		u := p.units[i]
-		errs[i] = p.emitUnit(u, out, raPairs[u.raStart:])
-	})
-	for _, e := range errs {
-		if e != nil {
-			putEmitBuf(out)
-			return nil, nil, nil, 0, e
-		}
-	}
 	for _, u := range p.units {
+		if err := p.emitUnit(u, out, raPairs[u.raStart:]); err != nil {
+			putEmitBuf(out)
+			return nil, nil, nil, 0, err
+		}
 		if len(u.items) > 0 {
 			encoded++
 		}

@@ -42,9 +42,8 @@ func emitAllocCases(a arch.Arch, env arch.EmitEnv) []arch.EmitItem {
 // only while encoding allocates nothing per instruction: arch.EmitInto
 // must allocate zero times for every ISA × expansion form, and the emit
 // stage of a warm Patch on the libxul-like X64 workload at most 0.01
-// times per emitted instruction (the output buffer, the
-// return-address slice and the worker pool are per-Patch, not
-// per-instruction).
+// times per emitted instruction (the output buffer and the
+// return-address slice are per-Patch, not per-instruction).
 func TestEmitAllocationFree(t *testing.T) {
 	t.Run("emit-into", func(t *testing.T) {
 		for _, a := range arch.All() {
@@ -75,37 +74,35 @@ func TestEmitAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, payload := range []instrument.Payload{instrument.PayloadEmpty, instrument.PayloadCounter} {
-			for _, jobs := range []int{1, 4} {
-				opts := Options{Mode: ModeJT, Request: instrument.Request{Where: instrument.BlockEntry, Payload: payload}, PatchJobs: jobs}
-				// Warm the pools the way a serving loop does.
-				res, err := an.Patch(opts)
+			opts := Options{Mode: ModeJT, Request: instrument.Request{Where: instrument.BlockEntry, Payload: payload}}
+			// Warm the pools the way a serving loop does.
+			res, err := an.Patch(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Recycle()
+			p, err := an.PlanFor(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := 0
+			for _, u := range p.units {
+				items += len(u.items)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				out, clone, _, _, err := p.emit()
 				if err != nil {
 					t.Fatal(err)
 				}
-				res.Recycle()
-				p, err := an.PlanFor(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				items := 0
-				for _, u := range p.units {
-					items += len(u.items)
-				}
-				allocs := testing.AllocsPerRun(5, func() {
-					out, clone, _, _, err := p.emit(jobs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					putEmitBuf(out)
-					putEmitBuf(clone)
-				})
-				perInstr := allocs / float64(items)
-				if perInstr > 0.01 {
-					t.Errorf("payload=%d jobs=%d: emit stage allocated %.0f times for %d instructions (%.4f per instruction), budget 0.01",
-						payload, jobs, allocs, items, perInstr)
-				} else {
-					t.Logf("payload=%d jobs=%d: %.0f allocs for %d instructions (%.5f per instruction)", payload, jobs, allocs, items, perInstr)
-				}
+				putEmitBuf(out)
+				putEmitBuf(clone)
+			})
+			perInstr := allocs / float64(items)
+			if perInstr > 0.01 {
+				t.Errorf("payload=%d: emit stage allocated %.0f times for %d instructions (%.4f per instruction), budget 0.01",
+					payload, allocs, items, perInstr)
+			} else {
+				t.Logf("payload=%d: %.0f allocs for %d instructions (%.5f per instruction)", payload, allocs, items, perInstr)
 			}
 		}
 	})
