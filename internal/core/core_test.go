@@ -14,6 +14,7 @@ import (
 	"icfgpatch/internal/emu"
 	"icfgpatch/internal/instrument"
 	"icfgpatch/internal/rtlib"
+	"icfgpatch/internal/workload"
 )
 
 // richProgram builds a program exercising every rewriting concern:
@@ -803,6 +804,40 @@ func TestArbitraryInstrumentationPoints(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAtAddrsMissRelocatesNothing pins the empty end of the Dyninst API
+// model: a point list that names no instruction of any function (or no
+// instruction at all) instruments nothing, so no function is relocated,
+// no counter cell is allocated, and the program runs as before.
+func TestAtAddrsMissRelocatesNothing(t *testing.T) {
+	suite, err := workload.SPECSuiteCached(arch.X64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := suite[0].Binary
+	want := runOriginal(t, img, nil)
+	for name, addrs := range map[string][]uint64{"miss": {0xdeadbeef}, "empty": {}} {
+		t.Run(name, func(t *testing.T) {
+			got, res := rewriteAndRun(t, img, Options{
+				Mode: ModeJT,
+				Request: instrument.Request{
+					Where:   instrument.AtAddrs,
+					Payload: instrument.PayloadCounter,
+					Addrs:   addrs,
+				},
+			})
+			if n := res.Stats.InstrumentedFuncs; n != 0 {
+				t.Errorf("instrumented %d of %d functions, want 0", n, res.Stats.TotalFuncs)
+			}
+			if len(res.CounterCells) != 0 {
+				t.Errorf("%d counter cells, want none", len(res.CounterCells))
+			}
+			if string(got.Output) != string(want.Output) {
+				t.Fatalf("output diverged: %q vs %q", got.Output, want.Output)
+			}
+		})
+	}
 }
 
 func TestFastUnwinderWithRATranslation(t *testing.T) {
