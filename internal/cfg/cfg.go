@@ -121,21 +121,6 @@ func (t *ResolvedTable) DecodeEntry(x int64) (uint64, bool) {
 	}
 }
 
-// EncodeEntry is the inverse of DecodeEntry: it solves tar(x) = target
-// for x, used by jump table cloning to compute new entry values
-// (Section 5.1: "we solve tar(x) = y for x0 and write x0 to the new
-// jump table").
-func (t *ResolvedTable) EncodeEntry(target uint64) int64 {
-	switch t.Kind {
-	case TarAbs:
-		return int64(target)
-	case TarTableRel:
-		return int64(target - t.TableAddr)
-	default:
-		return int64((target - t.FuncStart) / 4)
-	}
-}
-
 // IndirectJump records one indirect jump discovered during traversal.
 type IndirectJump struct {
 	Addr     uint64
@@ -579,39 +564,4 @@ func (f *Func) computeGaps(a arch.Arch, text *bin.Section) {
 			}
 		}
 	}
-}
-
-// SplitAt splits the block containing addr so that addr starts a new
-// block, returning the new (or existing) block. Over-approximated
-// control flow edges from imprecise analysis land here: the split wastes
-// a little scratch space but cannot cause wrong rewriting (Section 4.3).
-func (f *Func) SplitAt(addr uint64) (*Block, bool) {
-	if blk, ok := f.byStart[addr]; ok {
-		return blk, true
-	}
-	blk, ok := f.BlockContaining(addr)
-	if !ok {
-		return nil, false
-	}
-	// Find the instruction boundary.
-	idx := -1
-	for i, ins := range blk.Instrs {
-		if ins.Addr == addr {
-			idx = i
-			break
-		}
-	}
-	if idx <= 0 {
-		return nil, false // not on an instruction boundary
-	}
-	nb := &Block{Start: addr, End: blk.End, Instrs: blk.Instrs[idx:], Succs: blk.Succs, Preds: []uint64{blk.Start}}
-	blk.Instrs = blk.Instrs[:idx]
-	blk.End = addr
-	blk.Succs = []Edge{{To: addr, Kind: EdgeFall}}
-	f.byStart[addr] = nb
-	i := sort.Search(len(f.Blocks), func(i int) bool { return f.Blocks[i].Start > blk.Start })
-	f.Blocks = append(f.Blocks, nil)
-	copy(f.Blocks[i+1:], f.Blocks[i:])
-	f.Blocks[i] = nb
-	return nb, true
 }

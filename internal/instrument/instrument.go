@@ -137,14 +137,3 @@ func AppendCounterSnippet(dst []arch.Instr, a arch.Arch, pie bool, cellAddr uint
 // CounterSnippetMaxLen is the longest sequence AppendCounterSnippet
 // appends (the fixed-width ISAs' two-instruction address formation).
 const CounterSnippetMaxLen = 9
-
-// PCRelSnippetIndexes returns the indexes within AppendCounterSnippet output
-// whose operands are PC-relative references to cellAddr and must be
-// re-resolved at the snippet's final address: the Lea (X64 PIE) or the
-// LeaHi (fixed-width PIE). Absolute forms return nothing.
-func PCRelSnippetIndexes(a arch.Arch, pie bool) []int {
-	if !pie {
-		return nil
-	}
-	return []int{2} // the address-forming instruction follows the two spills
-}
